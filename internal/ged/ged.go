@@ -28,6 +28,7 @@ package ged
 import (
 	"math"
 	"math/bits"
+	"runtime/debug"
 	"sort"
 
 	"github.com/streamtune/streamtune/internal/dag"
@@ -265,9 +266,10 @@ type solver struct {
 	sufE1   []int32
 	maskLow []bitset
 
-	heap  []*state
-	free  *state
-	stats *SearchStats
+	heap   []*state
+	free   *state
+	states int // states allocated (the peak live count)
+	stats  *SearchStats
 }
 
 func newSolver(v1, v2 *graphView, useBound bool) *solver {
@@ -331,6 +333,7 @@ func (s *solver) newState() *state {
 		st.next = nil
 		return st
 	}
+	s.states++
 	return &state{
 		mapping: make([]int32, s.v1.n),
 		used:    make(bitset, s.words2),
@@ -367,13 +370,32 @@ func (s *solver) bound(k int, hist2 []int16, rem2 int32, e2 int32) float64 {
 	return nodeBound + edgeBound
 }
 
-// search runs best-first A* over node-mapping prefixes. States map g1
+// releaseStates is the number of allocated states past which a finished
+// search hands its memory back to the OS. A search over 13-operator jobs
+// can hold ~700k states (~150 MB) for half a second. Left to the GC
+// pacer, which sized its next goal while they were live, that memory
+// stays resident for seconds after the search, long after the service's
+// next requests stopped needing it.
+const releaseStates = 1 << 17
+
+// search runs searchStates and, after a search that allocated more than
+// releaseStates states, returns their memory to the OS.
+func (s *solver) search(tau, seedUB float64) float64 {
+	d := s.searchStates(tau, seedUB)
+	if s.states > releaseStates {
+		s.heap, s.free = nil, nil
+		debug.FreeOSMemory()
+	}
+	return d
+}
+
+// searchStates runs best-first A* over node-mapping prefixes. States map g1
 // nodes in index order; when all g1 nodes are mapped, remaining g2 nodes
 // are insertions and the edge cost is finalized exactly. seedUB, when
 // finite, must be an achievable edit cost (it becomes the incumbent).
 // The return value is the exact distance when it is <= tau; otherwise it
 // is a lower bound on the distance (itself > tau).
-func (s *solver) search(tau, seedUB float64) float64 {
+func (s *solver) searchStates(tau, seedUB float64) float64 {
 	v1, v2 := s.v1, s.v2
 	if s.useBound {
 		s.buildBoundTables()

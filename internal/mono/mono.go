@@ -76,17 +76,24 @@ func validate(samples []Sample) error {
 // For non-monotonic models the binary search is still performed — this
 // reproduces the paper's ablation, where the unconstrained NN's
 // recommendations become unreliable.
+//
+// An SVM's feature row depends only on the embedding, so it is computed
+// once per search rather than once per probe.
 func MinNonBottleneck(m Model, emb []float64, pmax int, threshold float64) int {
 	if pmax < 1 {
 		return 1
 	}
-	if m.Predict(emb, pmax) >= threshold {
+	predict := func(p int) float64 { return m.Predict(emb, p) }
+	if s, ok := m.(*SVM); ok {
+		predict = s.probAt(emb)
+	}
+	if predict(pmax) >= threshold {
 		return pmax
 	}
-	lo, hi := 1, pmax // invariant: Predict(hi) < threshold
+	lo, hi := 1, pmax // invariant: predict(hi) < threshold
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if m.Predict(emb, mid) < threshold {
+		if predict(mid) < threshold {
 			hi = mid
 		} else {
 			lo = mid + 1

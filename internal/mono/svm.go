@@ -1,6 +1,7 @@
 package mono
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"sort"
@@ -39,13 +40,17 @@ type SVM struct {
 	PlattScale float64
 }
 
+// defaultGamma is the RBF width a fit uses when its training set gives
+// the median heuristic nothing to measure.
+const defaultGamma = 0.5
+
 // NewSVM creates an untrained monotonic SVM.
 func NewSVM(pmax int, seed int64) *SVM {
 	return &SVM{
 		pmax:        pmax,
 		seed:        seed,
 		numFeatures: 128,
-		gamma:       0.5,
+		gamma:       defaultGamma,
 		Lambda:      1e-4,
 		Epochs:      60,
 		PlattScale:  2.0,
@@ -73,18 +78,16 @@ func (s *SVM) initFeatures(d int) {
 	}
 }
 
-// standardize z-scores the embedding with the Fit-time statistics.
-func (s *SVM) standardize(emb []float64) []float64 {
-	if s.mean == nil {
-		return emb
-	}
-	out := make([]float64, len(emb))
+// standardizeInto writes the embedding z-scored with the Fit-time
+// statistics into dst (len(emb) long); dimensions beyond the fitted ones
+// read zero.
+func (s *SVM) standardizeInto(dst, emb []float64) {
 	for j, x := range emb {
+		dst[j] = 0
 		if j < len(s.mean) {
-			out[j] = (x - s.mean[j]) / s.std[j]
+			dst[j] = (x - s.mean[j]) / s.std[j]
 		}
 	}
-	return out
 }
 
 // fitStats estimates per-dimension mean/std over the training set.
@@ -115,19 +118,24 @@ func (s *SVM) fitStats(samples []Sample) {
 	}
 }
 
-// medianGamma sets the RBF width by the median pairwise squared distance
-// heuristic over a subsample of standardized embeddings.
-func (s *SVM) medianGamma(samples []Sample, rng *rand.Rand) {
-	limit := 60
-	if len(samples) < limit {
-		limit = len(samples)
-	}
+// medianGamma returns the RBF width by the median pairwise squared
+// distance heuristic over a subsample of standardized embeddings. When
+// the subsample has no usable spread (fewer than two samples, or more
+// than half of the pairs coincide) it returns the constructor's width,
+// so every fit is a function of its training set alone.
+func (s *SVM) medianGamma(samples []Sample, rng *rand.Rand) float64 {
+	limit := min(60, len(samples))
 	idx := rng.Perm(len(samples))[:limit]
-	var d2s []float64
+	d := len(samples[0].Embedding)
+	xs := make([]float64, limit*d)
+	for a, i := range idx {
+		s.standardizeInto(xs[a*d:(a+1)*d], samples[i].Embedding)
+	}
+	d2s := make([]float64, 0, limit*(limit-1)/2)
 	for a := 0; a < limit; a++ {
+		ea := xs[a*d : (a+1)*d]
 		for b := a + 1; b < limit; b++ {
-			ea := s.standardize(samples[idx[a]].Embedding)
-			eb := s.standardize(samples[idx[b]].Embedding)
+			eb := xs[b*d : (b+1)*d]
 			d2 := 0.0
 			for j := range ea {
 				dx := ea[j] - eb[j]
@@ -137,32 +145,77 @@ func (s *SVM) medianGamma(samples []Sample, rng *rand.Rand) {
 		}
 	}
 	if len(d2s) == 0 {
-		return
+		return defaultGamma
 	}
 	sort.Float64s(d2s)
-	med := d2s[len(d2s)/2]
-	if med > 1e-9 {
-		s.gamma = 1 / med
+	if med := d2s[len(d2s)/2]; med > 1e-9 {
+		return 1 / med
 	}
+	return defaultGamma
 }
 
-// rff maps a (raw) embedding into the random-Fourier feature space,
-// standardizing first.
-func (s *SVM) rff(emb []float64) []float64 {
-	emb = s.standardize(emb)
-	z := make([]float64, s.numFeatures)
+// rffInto maps a (raw) embedding into the random-Fourier feature space,
+// writing numFeatures values into z; x is len(emb) scratch for the
+// standardized embedding. Four features are summed side by side, each
+// in its own accumulator and in dimension order, so the independent add
+// chains overlap without changing any feature's rounding.
+func (s *SVM) rffInto(z, x, emb []float64) {
+	s.standardizeInto(x, emb)
+	if len(s.omega) > 0 && len(x) > len(s.omega[0]) {
+		x = x[:len(s.omega[0])] // dimensions the features never saw
+	}
 	norm := math.Sqrt(2 / float64(s.numFeatures))
-	for i := range z {
+	i := 0
+	for ; i+4 <= len(z); i += 4 {
+		w0, w1, w2, w3 := s.omega[i][:len(x)], s.omega[i+1][:len(x)], s.omega[i+2][:len(x)], s.omega[i+3][:len(x)]
+		d0, d1, d2, d3 := s.phase[i], s.phase[i+1], s.phase[i+2], s.phase[i+3]
+		for j, xj := range x {
+			d0 += w0[j] * xj
+			d1 += w1[j] * xj
+			d2 += w2[j] * xj
+			d3 += w3[j] * xj
+		}
+		z[i], z[i+1], z[i+2], z[i+3] = norm*math.Cos(d0), norm*math.Cos(d1), norm*math.Cos(d2), norm*math.Cos(d3)
+	}
+	for ; i < len(z); i++ {
+		w := s.omega[i][:len(x)]
 		dot := s.phase[i]
-		w := s.omega[i]
-		for j, x := range emb {
-			if j < len(w) {
-				dot += w[j] * x
-			}
+		for j, xj := range x {
+			dot += w[j] * xj
 		}
 		z[i] = norm * math.Cos(dot)
 	}
-	return z
+}
+
+// featureTable computes the RFF row of each distinct embedding content
+// once. Samples with bit-identical embeddings share a row whether or not
+// they share a slice (a restored tuner's samples never do). It returns
+// the rows, numFeatures values each in first-seen order, and every
+// sample's row offset into them.
+func (s *SVM) featureTable(samples []Sample) (rows []float64, offset []int) {
+	d, nf := len(samples[0].Embedding), s.numFeatures
+	offset = make([]int, len(samples))
+	seen := make(map[string]int)
+	key := make([]byte, 8*d)
+	var firsts []int // the first sample of each distinct content
+	for i, sm := range samples {
+		for j, x := range sm.Embedding {
+			binary.LittleEndian.PutUint64(key[8*j:], math.Float64bits(x))
+		}
+		r, ok := seen[string(key)]
+		if !ok {
+			r = len(firsts) * nf
+			seen[string(key)] = r
+			firsts = append(firsts, i)
+		}
+		offset[i] = r
+	}
+	rows = make([]float64, len(firsts)*nf)
+	x := make([]float64, d)
+	for r, i := range firsts {
+		s.rffInto(rows[r*nf:(r+1)*nf], x, samples[i].Embedding)
+	}
+	return rows, offset
 }
 
 func (s *SVM) normP(p int) float64 {
@@ -172,9 +225,9 @@ func (s *SVM) normP(p int) float64 {
 	return float64(p) / float64(s.pmax)
 }
 
-// margin computes the decision value f(x) = we . rff(h) + wp*p + b.
-func (s *SVM) margin(emb []float64, p int) float64 {
-	z := s.rff(emb)
+// marginAt computes the decision value f(x) = we . z + wp*p + b for an
+// embedding's feature row z.
+func (s *SVM) marginAt(z []float64, p int) float64 {
 	f := s.b + s.wp*s.normP(p)
 	for i, zi := range z {
 		f += s.we[i] * zi
@@ -182,34 +235,50 @@ func (s *SVM) margin(emb []float64, p int) float64 {
 	return f
 }
 
+// probAt returns Predict(emb, ·): the embedding's feature row is
+// computed once, and each call only sums the parallelism-dependent
+// margin.
+func (s *SVM) probAt(emb []float64) func(p int) float64 {
+	if s.we == nil {
+		return func(int) float64 { return 0.5 }
+	}
+	z := make([]float64, s.numFeatures)
+	s.rffInto(z, make([]float64, len(emb)), emb)
+	return func(p int) float64 {
+		return 1 / (1 + math.Exp(-s.PlattScale*s.marginAt(z, p)))
+	}
+}
+
 // Fit implements Model with projected subgradient descent on the primal
 // hinge-loss objective. Labels are mapped to y in {-1, +1} with +1 =
 // bottleneck; the projection wp = min(wp, 0) enforces the monotonic
 // constraint after every update.
+//
+// Each SGD step makes one pass over the feature weights: it shrinks and
+// updates we and, in the same loop, sums the next sample's margin. The
+// operations and their order per weight are those of separate margin,
+// shrink and update passes, so the result is bit-identical to them.
 func (s *SVM) Fit(samples []Sample) error {
 	if err := validate(samples); err != nil {
 		return err
 	}
 	d := len(samples[0].Embedding)
 	s.fitStats(samples)
-	rngGamma := rand.New(rand.NewSource(s.seed + 2))
-	s.medianGamma(samples, rngGamma)
+	s.gamma = s.medianGamma(samples, rand.New(rand.NewSource(s.seed+2)))
 	s.initFeatures(d)
-	s.we = make([]float64, s.numFeatures)
-	s.wp, s.b = 0, 0
 
-	// Precompute feature vectors.
-	zs := make([][]float64, len(samples))
+	nf := s.numFeatures
+	rows, offset := s.featureTable(samples)
 	ps := make([]float64, len(samples))
 	ys := make([]float64, len(samples))
 	for i, sm := range samples {
-		zs[i] = s.rff(sm.Embedding)
 		ps[i] = s.normP(sm.Parallelism)
 		ys[i] = -1
 		if sm.Label == 1 {
 			ys[i] = 1
 		}
 	}
+	row := func(i int) []float64 { return rows[offset[i] : offset[i]+nf] }
 
 	// Cost-sensitive hinge: weight the minority bottleneck class up so
 	// that imbalanced histories (over-provisioned runs dominate) do not
@@ -233,66 +302,90 @@ func (s *SVM) Fit(samples []Sample) error {
 	// Polyak averaging over the second half of training damps the
 	// variance of the stochastic subgradient path, keeping repeated
 	// refits (Algorithm 2 refits every iteration) stable.
-	avgWe := make([]float64, s.numFeatures)
+	we := make([]float64, nf)
+	var wp, b float64
+	lambda := s.Lambda
+	avgWe := make([]float64, nf)
 	var avgWp, avgB float64
 	avgCount := 0
 	avgFrom := s.Epochs / 2
 	for ep := 0; ep < s.Epochs; ep++ {
 		rng.Shuffle(len(order), func(a, b int) { order[a], order[b] = order[b], order[a] })
-		for _, i := range order {
+		// f is the margin of the step's sample; each step sums the next
+		// step's while it updates we.
+		first := order[0]
+		f := b + wp*ps[first]
+		for k, zk := range row(first) {
+			f += we[k] * zk
+		}
+		for j, i := range order {
 			t++
-			lr := 1 / (s.Lambda * float64(t+100))
-			f := s.b + s.wp*ps[i]
-			for k, zk := range zs[i] {
-				f += s.we[k] * zk
-			}
-			// L2 shrinkage.
-			for k := range s.we {
-				s.we[k] *= 1 - lr*s.Lambda
-			}
-			s.wp *= 1 - lr*s.Lambda
-			if ys[i]*f < 1 {
+			lr := 1 / (lambda * float64(t+100))
+			shrink := 1 - lr*lambda // L2 shrinkage
+			z := row(i)[:len(we)]
+			// wp and b do not read we: update them first so the next
+			// margin can start from them.
+			wp *= shrink
+			hinge := ys[i]*f < 1
+			var g float64
+			if hinge {
 				w := 1.0
 				if ys[i] > 0 {
 					w = posWeight
 				}
-				for k, zk := range zs[i] {
-					s.we[k] += lr * w * ys[i] * zk
-				}
-				s.wp += lr * w * ys[i] * ps[i]
-				s.b += lr * w * ys[i] * 0.1
+				g = lr * w * ys[i]
+				wp += g * ps[i]
+				b += g * 0.1
 			}
 			// Monotonic projection (Eq. 5: wp <= 0).
-			if s.wp > 0 {
-				s.wp = 0
+			if wp > 0 {
+				wp = 0
+			}
+			// The epoch's last step sums a margin nobody reads.
+			next := i
+			if j+1 < len(order) {
+				next = order[j+1]
+			}
+			zn := row(next)[:len(we)]
+			f = b + wp*ps[next]
+			if hinge {
+				for k := range we {
+					wk := we[k]*shrink + g*z[k]
+					we[k] = wk
+					f += wk * zn[k]
+				}
+			} else {
+				for k := range we {
+					wk := we[k] * shrink
+					we[k] = wk
+					f += wk * zn[k]
+				}
 			}
 		}
 		if ep >= avgFrom {
 			for k := range avgWe {
-				avgWe[k] += s.we[k]
+				avgWe[k] += we[k]
 			}
-			avgWp += s.wp
-			avgB += s.b
+			avgWp += wp
+			avgB += b
 			avgCount++
 		}
 	}
 	if avgCount > 0 {
 		for k := range avgWe {
-			s.we[k] = avgWe[k] / float64(avgCount)
+			we[k] = avgWe[k] / float64(avgCount)
 		}
-		s.wp = avgWp / float64(avgCount)
-		s.b = avgB / float64(avgCount)
-		if s.wp > 0 {
-			s.wp = 0
+		wp = avgWp / float64(avgCount)
+		b = avgB / float64(avgCount)
+		if wp > 0 {
+			wp = 0
 		}
 	}
+	s.we, s.wp, s.b = we, wp, b
 	return nil
 }
 
 // Predict implements Model, mapping the margin through a scaled sigmoid.
 func (s *SVM) Predict(emb []float64, p int) float64 {
-	if s.we == nil {
-		return 0.5
-	}
-	return 1 / (1 + math.Exp(-s.PlattScale*s.margin(emb, p)))
+	return s.probAt(emb)(p)
 }
